@@ -7,9 +7,12 @@ Two measurements, both gated:
    lanes with periodic cross-device barriers — the shape
    ``build_timeline`` produces, scaled to cluster size), runs it through
    both the production :class:`SimEngine` and the retained
-   :class:`ReferenceSimEngine`, and reports wall-clock speedup.  The two
-   engines must agree on the makespan to 1e-9; in full mode the fast
-   path must be at least 5x faster on the 10k-op DAG.
+   :class:`ReferenceSimEngine`, and reports wall-clock speedup.
+   ``SimEngine.run`` compiles the Op DAG and executes it, recording
+   every op, in the engine's single compiled event loop; the timed
+   interval covers both.  The two engines must agree on the makespan
+   to 1e-9; in full mode the fast path must be at least 5x faster on
+   the 10k-op DAG.
 
 2. **Selector-loop benchmark** — times ``MPipeMoE.evaluate`` over a
    batch/n grid twice: once with the context's memoized evaluator

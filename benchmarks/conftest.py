@@ -3,8 +3,10 @@
 Every ``bench_figXX_*.py`` regenerates one table/figure of the paper's
 evaluation (Sec. V).  Results are printed and also persisted to
 ``benchmarks/results/<name>.txt`` so a ``--benchmark-only`` run leaves
-the full set of paper-style tables on disk; EXPERIMENTS.md summarises
-them against the published curves.
+the full set of paper-style tables on disk.  The fidelity ledger that
+``perfbench/fidelity.py`` builds from the Fig. 8-10 tables (printed by
+``python3 perfbench/run.py --workload paper-study ...``) sets the
+headlines against the paper's numbers.
 """
 
 from __future__ import annotations

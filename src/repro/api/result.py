@@ -4,7 +4,7 @@
 ordered, immutable collection of them with first-class accessors —
 ``.pareto()``, ``.table()``, ``.group_by()``, ``.to_json()``,
 ``.cache_stats()`` — replacing the module-level helpers that used to
-live in ``repro.sweep.analysis`` (which remains as a deprecation shim).
+live in the removed ``repro.sweep.analysis`` module.
 
 The module-level functions (:func:`pareto_front`, :func:`sweep_table`,
 :func:`group_by`) are the relocated implementations and still operate on

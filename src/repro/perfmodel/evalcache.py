@@ -33,7 +33,7 @@ from repro.perfmodel.cost import HardwareRates, PerfModel
 from repro.perfmodel.selector import StrategySelector
 from repro.perfmodel.workload import WorkloadSpec
 from repro.pipeline.schedule import MoEStageCosts, build_timeline, compile_timeline
-from repro.sim.engine import SimResult
+from repro.sim.engine import SimEngine, SimResult
 
 if TYPE_CHECKING:  # avoid a runtime import cycle with repro.systems.base
     from repro.systems.base import SystemContext
@@ -289,15 +289,12 @@ class Evaluator:
         compiled = compile_timeline(
             n, strategy, decomposed_comm=decomposed_comm, sequential=sequential
         )
-        if self._use_placement_pairs(workload):
-            value = max(
-                self._pair_makespans(
-                    compiled, spec, batch, n, gemm_derate, workload
-                )
+        value = max(
+            engine.compiled_makespan(compiled.dag, works)
+            for engine, works in self._runs(
+                compiled, spec, batch, n, gemm_derate, workload
             )
-        else:
-            costs = self.stage_costs(spec, batch, n, gemm_derate, workload)
-            value = max(self._profile_makespans(compiled, costs))
+        )
         self._makespans[key] = value
         return value
 
@@ -329,79 +326,44 @@ class Evaluator:
         compiled = compile_timeline(
             n, strategy, decomposed_comm=decomposed_comm, sequential=sequential
         )
-        if self._use_placement_pairs(workload):
-            # Price every (rows, profile) pair, then record the gating
-            # rank's run — ties break on pair order, matching max().
-            pairs = self._placement_pairs(spec, batch, n, gemm_derate, workload)
-            spans = []
-            pair_works = []
-            for rows, profile in pairs:
-                costs = self.stage_costs(
-                    spec, batch, n, gemm_derate, workload, rows=rows
-                )
-                works = compiled.works(costs)
-                pair_works.append((profile, works))
-                spans.append(
-                    self.context.engine_for(profile).compiled_makespan(
-                        compiled.dag, works
-                    )
-                )
-            profile, works = pair_works[spans.index(max(spans))]
-            sim = self.context.engine_for(profile).run_compiled(
-                compiled.dag, works, record=True
-            )
-            self._sims[key] = sim
-            return sim
-        costs = self.stage_costs(spec, batch, n, gemm_derate, workload)
-        profiles = self.context.sim_profiles
-        works = compiled.works(costs)
-        if not profiles:
-            engine = self.context.engine
-        else:
-            # One pricing pass picks the gating profile; ties break on
-            # profile order (first wins), matching max() in makespan().
-            spans = [
-                self.context.engine_for(p).compiled_makespan(compiled.dag, works)
-                for p in profiles
-            ]
-            engine = self.context.engine_for(profiles[spans.index(max(spans))])
+        runs = self._runs(compiled, spec, batch, n, gemm_derate, workload)
+        engine, works = runs[0]
+        if len(runs) > 1:
+            # One pricing pass picks the gating run; ties break on run
+            # order (first wins), matching max() in makespan().
+            spans = [e.compiled_makespan(compiled.dag, w) for e, w in runs]
+            engine, works = runs[spans.index(max(spans))]
         sim = engine.run_compiled(compiled.dag, works, record=True)
         self._sims[key] = sim
         return sim
 
-    def _profile_makespans(self, compiled, costs) -> list[float]:
-        """Makespan per distinct device profile (one entry when homogeneous).
-
-        The worst entry is the iteration time: the loss barrier and the
-        collectives synchronize all devices every iteration, so the
-        slowest profile gates the cluster.
-        """
-        profiles = self.context.sim_profiles
-        works = compiled.works(costs)
-        if not profiles:
-            return [self.context.engine.compiled_makespan(compiled.dag, works)]
-        return [
-            self.context.engine_for(p).compiled_makespan(compiled.dag, works)
-            for p in profiles
-        ]
-
-    def _pair_makespans(
+    def _runs(
         self, compiled, spec, batch, n, gemm_derate, workload
-    ) -> list[float]:
-        """Makespan per (rows, profile) pair of a placed workload."""
-        return [
-            self.context.engine_for(profile).compiled_makespan(
-                compiled.dag,
-                compiled.works(
-                    self.stage_costs(
+    ) -> list[tuple[SimEngine, list[float]]]:
+        """The ``(engine, works)`` runs whose worst makespan is the answer.
+
+        One run per distinct device profile (a single run when
+        homogeneous), or one per (rows, profile) pair of a placed
+        workload.  The worst run is the iteration time: the loss barrier
+        and the collectives synchronize all devices every iteration, so
+        the slowest one gates the cluster.
+        """
+        if self._use_placement_pairs(workload):
+            pairs = self._placement_pairs(spec, batch, n, gemm_derate, workload)
+            return [
+                (
+                    self.context.engine_for(profile),
+                    compiled.works(self.stage_costs(
                         spec, batch, n, gemm_derate, workload, rows=rows
-                    )
-                ),
-            )
-            for rows, profile in self._placement_pairs(
-                spec, batch, n, gemm_derate, workload
-            )
-        ]
+                    )),
+                )
+                for rows, profile in pairs
+            ]
+        works = compiled.works(self.stage_costs(spec, batch, n, gemm_derate, workload))
+        profiles = self.context.sim_profiles
+        if not profiles:
+            return [(self.context.engine, works)]
+        return [(self.context.engine_for(p), works) for p in profiles]
 
     def _cold_sim(
         self, spec, batch, n, strategy, decomposed, sequential, derate,

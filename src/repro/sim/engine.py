@@ -19,27 +19,26 @@ max() ignores.
 
 Two implementations share these semantics:
 
-* :class:`SimEngine` — the production fast path: a completion-event heap
-  with lazy invalidation, per-lane head cursors, and interference rates
-  recomputed only for devices whose active stream-kind set changed.
-  Per-event cost is O(affected ops + log heap) instead of a full rescan.
+* :class:`SimEngine` — the production engine: one completion-event heap
+  loop with lazy invalidation, per-lane head cursors, and interference
+  rates recomputed only for devices whose active stream-kind set
+  changed.  Per-event cost is O(affected ops + log heap) instead of a
+  full rescan.  The loop runs over a :class:`CompiledDag` — the DAG
+  topology (lane order, dependency lists, stream kinds) flattened once
+  by :func:`compile_dag` into index arrays and re-runnable with
+  different per-op work vectors, which is what lets ``build_timeline``
+  topologies be compiled per ``(n, strategy)`` and re-priced per
+  scenario without reconstructing thousands of :class:`Op` objects.
+  Every entry point is that loop: :meth:`SimEngine.run` compiles the
+  submitted ops and records a trace, :meth:`SimEngine.compiled_makespan`
+  allocates no records, and :meth:`SimEngine.record_compiled_schedule`
+  logs the schedule for :func:`replay_schedule`.  Simultaneous
+  completions break ties on submission position (for DAGs built and
+  submitted in creation order this is the ``Op.uid`` order).
 * :class:`ReferenceSimEngine` — the original straight-line fluid loop
   (rescan all lanes and recompute all rates every event).  Kept as the
   behavioural oracle for the golden-trace tests and as the baseline that
   ``benchmarks/bench_sim_engine.py`` measures the fast path against.
-
-Beyond the recorded run, :class:`SimEngine` offers two cheaper modes
-with identical makespan semantics:
-
-* ``run(ops, record=False)`` / :meth:`SimEngine.makespan` — the same
-  event loop without :class:`OpRecord`/trace allocation, for selector
-  inner loops that only read the makespan;
-* :func:`compile_dag` + :meth:`SimEngine.compiled_makespan` — the DAG
-  topology (lane order, dependency lists, stream kinds) flattened once
-  into index arrays, re-runnable with different per-op work vectors.
-  This is what lets ``build_timeline`` topologies be compiled per
-  ``(n, strategy)`` and re-priced per scenario without reconstructing
-  thousands of :class:`Op` objects.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.hardware.hetero import DeviceRateTable
 from repro.hardware.interference import InterferenceModel, PAPER_INTERFERENCE, StreamKind
@@ -153,8 +152,8 @@ def _validate(ops: list[Op]) -> dict[Op, list[Op]]:
     if len(op_set) != len(ops):
         raise ValueError("duplicate op submitted")
     if len({op.uid for op in ops}) != len(ops):
-        # dataclasses.replace() copies uid; the fast path keys its state
-        # on uid, so distinct ops sharing one are rejected up front.
+        # dataclasses.replace() copies uid; compile_dag maps children to
+        # positions by uid, so distinct ops sharing one are rejected.
         raise ValueError("distinct ops share a uid (copied Op?); uids must be unique")
     children: dict[Op, list[Op]] = {}
     for op in ops:
@@ -180,11 +179,11 @@ def _validate(ops: list[Op]) -> dict[Op, list[Op]]:
     return children
 
 
-def _deadlock_error(ops: list[Op], done: set[Op]) -> RuntimeError:
-    stuck = [op.name for op in ops if op not in done][:8]
+def _deadlock_error(stuck: list[str]) -> RuntimeError:
+    """The error for a run that ended with the ops named ``stuck`` unfinished."""
     return RuntimeError(
-        f"simulation deadlocked with {len(ops) - len(done)} ops pending, "
-        f"e.g. {stuck} — check for dependency cycles or cross-lane ordering"
+        f"simulation deadlocked with {len(stuck)} ops pending, "
+        f"e.g. {stuck[:8]} — check for dependency cycles or cross-lane ordering"
     )
 
 
@@ -289,178 +288,12 @@ class SimEngine:
 
     def makespan(self, ops: Sequence[Op]) -> float:
         """Makespan of the DAG without building any trace records."""
-        return self.run(ops, record=False).makespan
+        return self.compiled_makespan(compile_dag(ops))
 
-    def run(self, ops: Sequence[Op], record: bool = True) -> SimResult:
-        """Run the DAG; ``record=False`` skips all trace allocation.
+    def run(self, ops: Sequence[Op]) -> SimResult:
+        """Validate and compile the DAG, then run it recording every op."""
+        return self.run_compiled(compile_dag(ops), record=True)
 
-        The records-free mode executes the identical event loop (same
-        makespan to the last bit) but never constructs an
-        :class:`OpRecord`, which removes the dominant allocation cost in
-        selector inner loops that only consume ``result.makespan``.
-        """
-        ops = list(ops)
-        children = _validate(ops)
-
-        # Hot-path state is keyed by the int ``uid`` (and int lane keys):
-        # Op.__hash__ and StreamKind.__hash__ are Python-level calls, and
-        # at 10k+ ops they dominate the schedule loop.
-        kind_index = {StreamKind.COMP: 0, StreamKind.COMM: 1, StreamKind.MEM: 2}
-        kind_bit = {k: 1 << i for k, i in kind_index.items()}
-
-        # rate_table[(kind_index, active_bitmask)] -> slowdown factor,
-        # filled lazily; there are at most 3 * 8 distinct entries, so
-        # rates are recomputed only when a device's active set changes
-        # *to a combination never seen before*.
-        rate_table: dict[tuple[int, int], float] = {}
-
-        def rate_for(kidx: int, mask: int) -> float:
-            cached = rate_table.get((kidx, mask))
-            if cached is None:
-                kinds = {k for k, b in kind_bit.items() if mask & b}
-                victim = next(k for k, i in kind_index.items() if i == kidx)
-                cached = self.interference.slowdown(victim, kinds)
-                rate_table[(kidx, mask)] = cached
-            return cached
-
-        # Lane FIFO queues in submission order; lane key = device*4 + kind.
-        lanes: dict[int, list[Op]] = {}
-        for op in ops:
-            lanes.setdefault(op.device * 4 + kind_index[op.stream], []).append(op)
-        lane_pos = {key: 0 for key in lanes}
-
-        remaining_deps = {op.uid: len(op.deps) for op in ops}
-        child_map = {op.uid: children.get(op, ()) for op in ops}
-        done: set[int] = set()
-        records: list[OpRecord] = []
-        now = 0.0
-
-        # Running-op state (uid-keyed).  ``rem`` is the unfinished work,
-        # settled only when the op's rate changes; a valid heap entry
-        # therefore always predicts the true finish time.
-        rem: dict[int, float] = {}
-        rate: dict[int, float] = {}
-        synced_at: dict[int, float] = {}
-        started_at: dict[int, float] = {}
-        token: dict[int, int] = {}
-
-        # Per-device view of the running set.
-        dev_running: dict[int, list[tuple[int, int]]] = {}  # dev -> [(uid, kidx)]
-        dev_mask: dict[int, int] = {}  # dev -> active-kind bitmask
-        dirty: set[int] = set()  # devices whose active-kind set changed
-
-        heap: list[tuple[float, int, int, Op]] = []
-        pending: list[int] = list(lanes)
-
-        def complete(op: Op, start: float, end: float) -> None:
-            done.add(op.uid)
-            if record:
-                records.append(
-                    OpRecord(op.name, op.device, op.stream, op.tag, start, end)
-                )
-            for child in child_map[op.uid]:
-                cuid = child.uid
-                remaining_deps[cuid] -= 1
-                if remaining_deps[cuid] == 0:
-                    pending.append(child.device * 4 + kind_index[child.stream])
-
-        def try_start(key: int) -> None:
-            queue = lanes[key]
-            pos = lane_pos[key]
-            while True:
-                while pos < len(queue) and queue[pos].uid in done:
-                    pos += 1
-                lane_pos[key] = pos
-                if pos >= len(queue):
-                    return
-                op = queue[pos]
-                uid = op.uid
-                if uid in rem or remaining_deps[uid] > 0:
-                    return
-                if op.work <= _EPS:
-                    # Pure-dependency op: completes instantly and may
-                    # unblock further ops (its children's lanes join
-                    # ``pending``; this lane advances in place).
-                    complete(op, now, now)
-                    pos += 1
-                    lane_pos[key] = pos
-                    continue
-                device, kidx = key >> 2, key & 3
-                rem[uid] = op.work
-                rate[uid] = 0.0  # placeholder until the device refresh
-                synced_at[uid] = now
-                if record:
-                    started_at[uid] = now
-                token[uid] = 0
-                dev_running.setdefault(device, []).append((uid, kidx))
-                # One lane per (device, kind) runs one op at a time, so a
-                # start always adds a new kind to the active set.
-                dev_mask[device] = dev_mask.get(device, 0) | (1 << kidx)
-                dirty.add(device)
-                heap_by_uid[uid] = op
-                return
-
-        heap_by_uid: dict[int, Op] = {}
-        device_rates = self.device_rates
-
-        def refresh(device: int) -> None:
-            """Re-rate the device's running ops after an active-set change."""
-            mask = dev_mask.get(device, 0)
-            mult = None if device_rates is None else device_rates.multipliers(device)
-            for uid, kidx in dev_running.get(device, ()):
-                new_rate = rate_table.get((kidx, mask))
-                if new_rate is None:
-                    new_rate = rate_for(kidx, mask)
-                if mult is not None:
-                    new_rate = new_rate * mult[kidx]
-                old_rate = rate[uid]
-                if new_rate == old_rate:
-                    continue  # outstanding heap entry still predicts truth
-                if old_rate > 0.0:
-                    done_work = (now - synced_at[uid]) * old_rate
-                    remaining = rem[uid] - done_work
-                    rem[uid] = remaining if remaining > 0.0 else 0.0
-                rate[uid] = new_rate
-                synced_at[uid] = now
-                tok = token[uid] + 1
-                token[uid] = tok
-                heapq.heappush(
-                    heap, (now + rem[uid] / new_rate, uid, tok, heap_by_uid[uid])
-                )
-
-        def settle_frontier() -> None:
-            """Start every startable lane head, then re-rate dirty devices."""
-            while pending:
-                try_start(pending.pop())
-            if dirty:
-                for device in dirty:
-                    refresh(device)
-                dirty.clear()
-
-        settle_frontier()
-        while heap:
-            pred_finish, uid, entry_token, op = heapq.heappop(heap)
-            if uid not in rem or entry_token != token[uid]:
-                continue  # stale: op finished or was re-rated since push
-            now = pred_finish
-            del rem[uid], rate[uid], synced_at[uid], token[uid], heap_by_uid[uid]
-            device = op.device
-            kidx = kind_index[op.stream]
-            dev_running[device].remove((uid, kidx))
-            dev_mask[device] &= ~(1 << kidx)
-            dirty.add(device)
-            complete(op, started_at.pop(uid) if record else now, now)
-            pending.append(device * 4 + kidx)
-            settle_frontier()
-
-        if len(done) != len(ops):
-            done_ops = {op for op in ops if op.uid in done}
-            raise _deadlock_error(ops, done_ops)
-        if record:
-            records.sort(key=lambda r: (r.start, r.device, r.stream.value))
-        return SimResult(makespan=now, records=records)
-
-    # -- compiled fast path ----------------------------------------------------
     def _rate_table(self) -> list[float]:
         """Flat slowdown table indexed ``kidx * 8 + active_bitmask``.
 
@@ -508,12 +341,50 @@ class SimEngine:
     ) -> SimResult:
         """Run a :class:`CompiledDag` with per-op ``works`` plugged in.
 
-        Same fluid semantics and event order as :meth:`run` — heap ties
-        break on submission index exactly as they break on ``uid`` there
-        — but over flat index arrays with no Op or validation cost per
-        call.  ``record=True`` rebuilds the full :class:`OpRecord` trace
-        (identical to running the instantiated Op DAG); the default
-        makespan-only mode allocates nothing per op.
+        ``record=True`` builds the full :class:`OpRecord` trace; the
+        default makespan-only mode allocates nothing per op.
+        """
+        if not record:
+            return SimResult(makespan=self._loop(dag, works, None, None), records=[])
+        records: list[OpRecord] = []
+        makespan = self._loop(dag, works, records, None)
+        records.sort(key=lambda r: (r.start, r.device, r.stream.value))
+        return SimResult(makespan=makespan, records=records)
+
+    def record_compiled_schedule(
+        self, dag: CompiledDag, works: Sequence[float] | None = None
+    ) -> "ScheduleTrace":
+        """Run ``works`` through the compiled loop, recording its schedule.
+
+        On top of executing the schedule it logs every start, re-rate and
+        completion into a :class:`ScheduleTrace` that
+        :func:`replay_schedule` can re-price for a whole batch of work
+        vectors.
+        """
+        if works is None:
+            works = dag.works
+        log: list = []
+        self._loop(dag, works, None, log)
+        return ScheduleTrace(
+            num_ops=dag.num_ops,
+            zero_pattern=tuple(w <= _EPS for w in works),
+            prologue=log[0],
+            events=tuple(log[1:]),
+        )
+
+    def _loop(
+        self,
+        dag: CompiledDag,
+        works: Sequence[float] | None,
+        records: list[OpRecord] | None,
+        log: list | None,
+    ) -> float:
+        """The event loop: run ``works`` over ``dag`` and return the makespan.
+
+        ``records`` (when a list) receives one unsorted :class:`OpRecord`
+        per op.  ``log`` (when a list) receives the schedule: first the
+        t=0 frontier settle ``(starts, updates)``, then one
+        ``(finished_op, others, starts, updates)`` entry per event.
         """
         if works is None:
             works = dag.works
@@ -526,15 +397,19 @@ class SimEngine:
         device_rates = self.device_rates
         lane_ops, lane_device, lane_kidx = dag.lane_ops, dag.lane_device, dag.lane_kidx
         op_lane, children = dag.op_lane, dag.children
-        if record:
+        if records is not None:
             names, tags = dag.names, dag.tags
             lane_stream = tuple(_KIND_BY_INDEX[k] for k in lane_kidx)
             started_at = [0.0] * num
+        starts: list[int] = []
+        updates: list[tuple[int, float, float]] = []
 
         dep_rem = list(dag.dep_count)
         lane_pos = [0] * len(lane_ops)
         finished = bytearray(num)
         running = bytearray(num)
+        # ``rem`` is settled only when an op's rate changes, so a valid
+        # heap entry always predicts the true finish time.
         rem = [0.0] * num
         rate = [0.0] * num
         synced_at = [0.0] * num
@@ -544,7 +419,6 @@ class SimEngine:
         dirty: set[int] = set()
         heap: list[tuple[float, int, int]] = []
         pending: list[int] = list(range(len(lane_ops)))
-        records: list[OpRecord] = []
         done_count = 0
         now = 0.0
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -554,8 +428,7 @@ class SimEngine:
 
             The lane-head scan, zero-work completion, and device refresh
             are inlined (not helper calls): this body runs once per
-            event and per-event Python call overhead is what the
-            compiled mode exists to shave.
+            event and per-event Python call overhead dominates it.
             """
             nonlocal done_count
             while pending:
@@ -574,7 +447,7 @@ class SimEngine:
                     if works[i] <= _EPS:
                         # Zero-work op: completes instantly, may unblock
                         # children (their lanes join ``pending``).
-                        if record:
+                        if records is not None:
                             records.append(
                                 OpRecord(names[i], lane_device[lane],
                                          lane_stream[lane], tags[i], now, now)
@@ -593,8 +466,10 @@ class SimEngine:
                     rem[i] = works[i]
                     rate[i] = 0.0
                     synced_at[i] = now
-                    if record:
+                    if records is not None:
                         started_at[i] = now
+                    if log is not None:
+                        starts.append(i)
                     token[i] = 0
                     dev_running.setdefault(device, []).append((i, kidx))
                     dev_mask[device] = dev_mask.get(device, 0) | (1 << kidx)
@@ -621,21 +496,38 @@ class SimEngine:
                         tok = token[i] + 1
                         token[i] = tok
                         heappush(heap, (now + rem[i] / new_rate, i, tok))
+                        if log is not None:
+                            updates.append((i, old_rate, new_rate))
                 dirty.clear()
 
         settle_frontier()
+        if log is not None:
+            log.append((tuple(starts), tuple(updates)))
+            starts.clear()
+            updates.clear()
         while heap:
             pred_finish, i, entry_token = heappop(heap)
             if not running[i] or entry_token != token[i]:
                 continue
             now = pred_finish
+            if log is not None:
+                # Heap order is (time, op): op ``i`` wins against a lower-
+                # indexed running op only strictly, against a higher-
+                # indexed one also on ties.  Replay re-checks these
+                # guards per row.
+                others = tuple(
+                    (j, j < i)
+                    for lst in dev_running.values()
+                    for (j, _k) in lst
+                    if j != i
+                )
             running[i] = 0
             lane = op_lane[i]
             device, kidx = lane_device[lane], lane_kidx[lane]
             dev_running[device].remove((i, kidx))
             dev_mask[device] &= ~(1 << kidx)
             dirty.add(device)
-            if record:
+            if records is not None:
                 records.append(
                     OpRecord(names[i], device, lane_stream[lane], tags[i],
                              started_at[i], now)
@@ -648,171 +540,15 @@ class SimEngine:
                     pending.append(op_lane[child])
             pending.append(lane)
             settle_frontier()
+            if log is not None:
+                log.append((i, others, tuple(starts), tuple(updates)))
+                starts.clear()
+                updates.clear()
 
         if done_count != num:
-            stuck = [dag.names[i] for i in range(num) if not finished[i]][:8]
-            raise RuntimeError(
-                f"simulation deadlocked with {num - done_count} ops pending, "
-                f"e.g. {stuck} — check for dependency cycles or cross-lane ordering"
-            )
-        if record:
-            records.sort(key=lambda r: (r.start, r.device, r.stream.value))
-        return SimResult(makespan=now, records=records)
-
-    def record_compiled_schedule(
-        self, dag: CompiledDag, works: Sequence[float] | None = None
-    ) -> "ScheduleTrace":
-        """Run ``works`` through the compiled loop, recording its schedule.
-
-        An instrumented twin of :meth:`run_compiled` (same state, same
-        event order, same arithmetic — keep the two in lockstep): on top
-        of executing the schedule it logs every start, re-rate and
-        completion into a :class:`ScheduleTrace` that
-        :func:`replay_schedule` can re-price for a whole batch of work
-        vectors.  Runs once per template group, so it stays a plain
-        scalar pass.
-        """
-        if works is None:
-            works = dag.works
-        num = dag.num_ops
-        if len(works) != num:
-            raise ValueError(f"expected {num} works, got {len(works)}")
-        if num and min(works) < 0:
-            raise ValueError("op works must be non-negative")
-        rates = self._rate_table()
-        device_rates = self.device_rates
-        lane_ops, lane_device, lane_kidx = dag.lane_ops, dag.lane_device, dag.lane_kidx
-        op_lane, children = dag.op_lane, dag.children
-
-        dep_rem = list(dag.dep_count)
-        lane_pos = [0] * len(lane_ops)
-        finished = bytearray(num)
-        running = bytearray(num)
-        rem = [0.0] * num
-        rate = [0.0] * num
-        synced_at = [0.0] * num
-        token = [0] * num
-        dev_running: dict[int, list[tuple[int, int]]] = {}
-        dev_mask: dict[int, int] = {}
-        dirty: set[int] = set()
-        heap: list[tuple[float, int, int]] = []
-        pending: list[int] = list(range(len(lane_ops)))
-        done_count = 0
-        now = 0.0
-        heappush, heappop = heapq.heappush, heapq.heappop
-
-        cur_starts: list[int] = []
-        cur_updates: list[tuple[int, float, float]] = []
-        events: list = []
-
-        def settle_frontier() -> None:
-            nonlocal done_count
-            while pending:
-                lane = pending.pop()
-                queue = lane_ops[lane]
-                pos = lane_pos[lane]
-                while True:
-                    while pos < len(queue) and finished[queue[pos]]:
-                        pos += 1
-                    lane_pos[lane] = pos
-                    if pos >= len(queue):
-                        break
-                    i = queue[pos]
-                    if running[i] or dep_rem[i] > 0:
-                        break
-                    if works[i] <= _EPS:
-                        finished[i] = 1
-                        done_count += 1
-                        for child in children[i]:
-                            dep_rem[child] -= 1
-                            if dep_rem[child] == 0:
-                                pending.append(op_lane[child])
-                        pos += 1
-                        lane_pos[lane] = pos
-                        continue
-                    device, kidx = lane_device[lane], lane_kidx[lane]
-                    running[i] = 1
-                    rem[i] = works[i]
-                    rate[i] = 0.0
-                    synced_at[i] = now
-                    token[i] = 0
-                    dev_running.setdefault(device, []).append((i, kidx))
-                    dev_mask[device] = dev_mask.get(device, 0) | (1 << kidx)
-                    dirty.add(device)
-                    cur_starts.append(i)
-                    break
-            if dirty:
-                for device in dirty:
-                    mask = dev_mask.get(device, 0)
-                    rtab = (
-                        rates
-                        if device_rates is None
-                        else self._flat_rates_for(device)
-                    )
-                    for i, kidx in dev_running.get(device, ()):
-                        new_rate = rtab[kidx * 8 + mask]
-                        old_rate = rate[i]
-                        if new_rate == old_rate:
-                            continue
-                        if old_rate > 0.0:
-                            remaining = rem[i] - (now - synced_at[i]) * old_rate
-                            rem[i] = remaining if remaining > 0.0 else 0.0
-                        rate[i] = new_rate
-                        synced_at[i] = now
-                        tok = token[i] + 1
-                        token[i] = tok
-                        heappush(heap, (now + rem[i] / new_rate, i, tok))
-                        cur_updates.append((i, old_rate, new_rate))
-                dirty.clear()
-
-        settle_frontier()
-        prologue = (tuple(cur_starts), tuple(cur_updates))
-        cur_starts.clear()
-        cur_updates.clear()
-        while heap:
-            pred_finish, i, entry_token = heappop(heap)
-            if not running[i] or entry_token != token[i]:
-                continue
-            now = pred_finish
-            # Heap order is (time, op): op ``i`` wins against a lower-
-            # indexed running op only strictly, against a higher-indexed
-            # one also on ties.  Replay re-checks these guards per row.
-            others = tuple(
-                (j, j < i)
-                for lst in dev_running.values()
-                for (j, _k) in lst
-                if j != i
-            )
-            running[i] = 0
-            lane = op_lane[i]
-            device, kidx = lane_device[lane], lane_kidx[lane]
-            dev_running[device].remove((i, kidx))
-            dev_mask[device] &= ~(1 << kidx)
-            dirty.add(device)
-            finished[i] = 1
-            done_count += 1
-            for child in children[i]:
-                dep_rem[child] -= 1
-                if dep_rem[child] == 0:
-                    pending.append(op_lane[child])
-            pending.append(lane)
-            settle_frontier()
-            events.append((i, others, tuple(cur_starts), tuple(cur_updates)))
-            cur_starts.clear()
-            cur_updates.clear()
-
-        if done_count != num:
-            stuck = [dag.names[i] for i in range(num) if not finished[i]][:8]
-            raise RuntimeError(
-                f"simulation deadlocked with {num - done_count} ops pending, "
-                f"e.g. {stuck} — check for dependency cycles or cross-lane ordering"
-            )
-        return ScheduleTrace(
-            num_ops=num,
-            zero_pattern=tuple(w <= _EPS for w in works),
-            prologue=prologue,
-            events=tuple(events),
-        )
+            stuck = [dag.names[i] for i in range(num) if not finished[i]]
+            raise _deadlock_error(stuck)
+        return now
 
 
 @dataclass(frozen=True)
@@ -1004,7 +740,7 @@ class ReferenceSimEngine:
             start_ready()
 
         if len(done) != len(ops):
-            raise _deadlock_error(ops, done)
+            raise _deadlock_error([op.name for op in ops if op not in done])
         records.sort(key=lambda r: (r.start, r.device, r.stream.value))
         return SimResult(makespan=now, records=records)
 

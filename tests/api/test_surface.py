@@ -48,23 +48,6 @@ def test_sweep_aliases_resolve_without_warning():
         sweep.not_a_thing
 
 
-def test_analysis_shim_warns_exactly_once_and_reexports():
-    import repro.api.result as result_mod
-
-    sys.modules.pop("repro.sweep.analysis", None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        shim = importlib.import_module("repro.sweep.analysis")
-    deprecations = [
-        w for w in caught if issubclass(w.category, DeprecationWarning)
-    ]
-    assert len(deprecations) == 1
-    assert "repro.api" in str(deprecations[0].message)
-    assert shim.pareto_front is result_mod.pareto_front
-    assert shim.sweep_table is result_mod.sweep_table
-    assert shim.group_by is result_mod.group_by
-
-
 def test_python_dash_m_repro_wires_the_cli():
     import os
     from pathlib import Path

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,23 @@ def fleet():
     """Two in-process loopback servers, no store."""
     with StudyServer(workers=2) as a, StudyServer(workers=2) as b:
         yield RemoteBackend([f"{a.host}:{a.port}", f"{b.host}:{b.port}"])
+
+
+class TestLifecycle:
+    def test_close_stops_the_accept_thread(self):
+        before = set(threading.enumerate())
+        server = StudyServer(workers=1).start()
+        accept = [
+            t for t in threading.enumerate()
+            if t not in before and t.name == "repro-serve-accept"
+        ]
+        assert len(accept) == 1
+        server.close()
+        assert not accept[0].is_alive()
+        assert not [
+            t for t in threading.enumerate()
+            if t.name == "repro-serve-accept" and t.is_alive()
+        ]
 
 
 class TestConfiguration:

@@ -136,7 +136,7 @@ class TestContiguousIsTheSeedModel:
             assert a == b, (spec.name, batch)
 
     def test_all_four_engine_modes_identical(self):
-        """recorded / records-free / makespan() / compiled realize the
+        """recorded / makespan() / compiled realize the
         same number for the contiguous and the placement-free timeline."""
         comm = NcclCostModel(ClusterTopology(DGX_A100_CLUSTER), 64)
         engine = SimEngine()
@@ -148,7 +148,6 @@ class TestContiguousIsTheSeedModel:
             ops = build_timeline(costs, 4, "S1")
             makespans[tag] = {
                 "recorded": engine.run(ops).makespan,
-                "records_free": engine.run(ops, record=False).makespan,
                 "makespan()": engine.makespan(ops),
                 "compiled": engine.compiled_makespan(compile_dag(ops)),
             }

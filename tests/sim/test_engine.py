@@ -1,9 +1,23 @@
 """Fluid discrete-event engine semantics."""
 
+import struct
+
 import pytest
 
+from repro.comm.cost import NcclCostModel
+from repro.config import DGX_A100_CLUSTER, MOE_GPT3_XL
+from repro.hardware.device import A100_SXM_40GB
+from repro.hardware.hetero import DeviceRates, DeviceRateTable
 from repro.hardware.interference import InterferenceModel, StreamKind
-from repro.sim.engine import Op, SimEngine, SimResult, compile_dag
+from repro.hardware.topology import ClusterTopology
+from repro.pipeline.schedule import MoEStageCosts, build_timeline, compile_timeline
+from repro.sim.engine import (
+    Op,
+    SimEngine,
+    SimResult,
+    compile_dag,
+    replay_schedule,
+)
 
 COMP, COMM, MEM = StreamKind.COMP, StreamKind.COMM, StreamKind.MEM
 
@@ -166,7 +180,7 @@ class TestMakespanMode:
     def test_no_records_same_makespan(self):
         ops = _pipeline_dag()
         full = SimEngine().run(_pipeline_dag())
-        bare = SimEngine().run(ops, record=False)
+        bare = SimEngine().run_compiled(compile_dag(ops))
         assert bare.makespan == full.makespan
         assert bare.records == []
 
@@ -258,3 +272,55 @@ class TestResultQueries:
     def test_by_tag(self):
         res = self._result()
         assert [r.name for r in res.by_tag("S")] == ["c"]
+
+
+# Every compile_timeline topology the system models price: PipeMoE /
+# MPipeMoE at n and S1–S4, FastMoE's sequential chain, FasterMoE's
+# decomposed All-to-All.
+_TEMPLATES = [
+    pytest.param(n, strategy, decomposed, sequential, id=f"n{n}-{label}")
+    for n in (1, 2, 4, 8, 16)
+    for label, strategy, decomposed, sequential in (
+        ("none", "none", False, False),
+        ("S1", "S1", False, False),
+        ("S2", "S2", False, False),
+        ("S3", "S3", False, False),
+        ("S4", "S4", False, False),
+        ("sequential", "none", False, True),
+        ("decomposed", "none", True, False),
+    )
+]
+_RATE_TABLES = [
+    pytest.param(None, id="homogeneous"),
+    pytest.param(
+        DeviceRateTable(entries=((0, DeviceRates(comp=0.5, mem=0.8)),)),
+        id="straggler",
+    ),
+]
+
+
+@pytest.mark.parametrize("device_rates", _RATE_TABLES)
+@pytest.mark.parametrize("n,strategy,decomposed,sequential", _TEMPLATES)
+def test_every_entry_point_is_the_compiled_loop(
+    n, strategy, decomposed, sequential, device_rates
+):
+    """run(ops) is the compiled recorded run, and a one-row replay of the
+    recorded schedule prices bit-for-bit what compiled_makespan does."""
+    comm = NcclCostModel(ClusterTopology(DGX_A100_CLUSTER), 64)
+    costs = MoEStageCosts.compute(MOE_GPT3_XL, 8192, n, A100_SXM_40GB, comm)
+    flags = dict(decomposed_comm=decomposed, sequential=sequential)
+    compiled = compile_timeline(n, strategy, **flags)
+    works = compiled.works(costs)
+    engine = SimEngine(device_rates=device_rates)
+
+    assert (
+        engine.run(build_timeline(costs, n, strategy, **flags)).records
+        == engine.run_compiled(compiled.dag, works, record=True).records
+    )
+    spans, valid = replay_schedule(
+        engine.record_compiled_schedule(compiled.dag, works), [works]
+    )
+    assert valid[0]
+    assert struct.pack("<d", float(spans[0])) == struct.pack(
+        "<d", engine.compiled_makespan(compiled.dag, works)
+    )

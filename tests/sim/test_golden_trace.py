@@ -106,14 +106,13 @@ class TestGoldenTraces:
 
 
 class TestEngineModesAgree:
-    """Every engine mode — recorded, records-free, compiled, reference —
+    """Every engine mode — recorded, makespan(), compiled, reference —
     must realize the same (golden) makespan on the pinned DAGs."""
 
     def _makespans(self, build, interference=None):
         fast = SimEngine(interference)
         return {
             "recorded": fast.run(build()).makespan,
-            "records_free": fast.run(build(), record=False).makespan,
             "makespan()": fast.makespan(build()),
             "compiled": fast.compiled_makespan(compile_dag(build())),
             "compiled_recorded": fast.run_compiled(
@@ -128,7 +127,7 @@ class TestEngineModesAgree:
 
     def test_interference_timeline_all_modes(self):
         got = self._makespans(interference_timeline)
-        # The four fast-engine modes agree bit-exactly with each other.
+        # The fast-engine modes agree bit-exactly with each other.
         fast_modes = {v for k, v in got.items() if k != "reference"}
         assert len(fast_modes) == 1
         for mode, value in got.items():

@@ -4,8 +4,8 @@ Two contracts:
 
 * an *identity* rate table (the engine view of a ``HeteroClusterSpec``
   with all-identical devices) must be byte-identical to the homogeneous
-  engine — same golden traces, same makespans — across all four modes
-  (recorded, records-free, compiled, reference);
+  engine — same golden traces, same makespans — across every mode
+  (recorded, compiled, reference);
 * a non-identity table slows exactly the streams of exactly the devices
   it names, in every mode, and the fast path still agrees with the
   reference engine.
@@ -59,7 +59,7 @@ class TestDegenerateHeteroFastPath:
         assert trace_of(res) == EXACT_GOLDEN
 
     def test_all_four_modes_bit_identical_to_homogeneous(self):
-        """recorded / records-free / compiled / reference, both DAGs."""
+        """recorded / compiled / reference, both DAGs."""
         for build, interference in (
             (exact_dag, NO_INTERFERENCE),
             (interference_timeline, None),
@@ -71,10 +71,6 @@ class TestDegenerateHeteroFastPath:
             assert (
                 hetero_fast.run(build()).makespan
                 == plain_fast.run(build()).makespan
-            )
-            assert (
-                hetero_fast.run(build(), record=False).makespan
-                == plain_fast.run(build(), record=False).makespan
             )
             assert hetero_fast.compiled_makespan(
                 compile_dag(build())
@@ -125,14 +121,13 @@ class TestPerDeviceRates:
         assert trace_of(res)[("a", 0)] == (0.0, 2.0)
 
     def test_all_modes_agree_under_hetero_rates(self):
-        """recorded == records-free == compiled == reference with skew,
+        """recorded == compiled == reference with skew,
         on the full interference timeline running on a slowed device."""
         table = DeviceRateTable(default=DeviceRates(comp=0.5, mem=0.8))
         fast = SimEngine(device_rates=table)
         ref = ReferenceSimEngine(device_rates=table)
         ops = interference_timeline
         recorded = fast.run(ops()).makespan
-        assert fast.run(ops(), record=False).makespan == recorded
         assert fast.compiled_makespan(compile_dag(ops())) == recorded
         assert ref.run(ops()).makespan == pytest.approx(recorded, rel=1e-12)
         # And the skew actually bites: slower than the homogeneous run.
